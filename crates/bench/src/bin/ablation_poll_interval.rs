@@ -13,7 +13,6 @@
 use std::time::Duration;
 
 use bench::{save_csv, RunSpec};
-use hammer_core::deploy::ChainSpec;
 use hammer_core::driver::TestingMode;
 use hammer_store::report::{render_table, to_csv};
 
@@ -30,34 +29,13 @@ fn main() {
     for interval in intervals {
         let mut latencies = Vec::new();
         for mode in [TestingMode::TaskProcessing, TestingMode::BatchBaseline] {
-            let mut spec = RunSpec::peak(ChainSpec::fabric_default(), 150, 30);
+            let mut spec = RunSpec::peak("fabric-sim", 150, 30);
             spec.mode = mode;
             spec.accounts = 20_000;
             spec.speedup = 100.0;
-            let deployment = hammer_core::deploy::Deployment::up(spec.chain.clone(), spec.speedup);
-            let workload = hammer_workload::WorkloadConfig {
-                accounts: spec.accounts,
-                clients: spec.clients,
-                threads_per_client: spec.threads_per_client,
-                chain_name: spec.chain.name().to_owned(),
-                ..hammer_workload::WorkloadConfig::default()
-            };
-            let control = hammer_workload::ControlSequence::constant(
-                spec.rate,
-                spec.seconds,
-                Duration::from_secs(1),
-            );
-            let config = hammer_core::driver::EvalConfig::builder()
-                .mode(mode)
-                .machine(spec.machine)
-                .poll_interval(interval)
-                .drain_timeout(spec.drain_timeout)
-                .build()
-                .expect("valid config");
+            spec.poll_interval = interval;
             eprintln!("interval {interval:?}, mode {mode:?}...");
-            let report = hammer_core::driver::Evaluation::new(config)
-                .run(&deployment, &workload, &control)
-                .expect("run failed");
+            let report = spec.run();
             latencies.push(report.latency.mean_s);
         }
         let skew = latencies[1] - latencies[0];

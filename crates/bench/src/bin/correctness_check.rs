@@ -14,10 +14,11 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use hammer_chain::types::TxStatus;
-use hammer_core::deploy::{ChainSpec, Deployment};
+use hammer_core::deploy::Deployment;
 use hammer_core::driver::{EvalConfig, Evaluation};
 use hammer_core::machine::ClientMachine;
-use hammer_fabric::FabricConfig;
+use hammer_fabric::{FabricConfig, FabricSim};
+use hammer_net::{LinkConfig, SimClock, SimNetwork};
 use hammer_workload::{ControlSequence, WorkloadConfig};
 
 fn main() {
@@ -34,13 +35,17 @@ fn main() {
     // The audit is about *accounting*, not peak throughput: configure the
     // Fabric sim so 600 TPS flows without backlog (validation 1 ms/tx =>
     // ~1000 TPS ceiling), exactly as the paper's correctness run assumes.
-    let deployment = Deployment::up(
-        ChainSpec::Fabric(FabricConfig {
-            validate_cost: Duration::from_millis(1),
-            inbox_capacity: 50_000,
-            ..FabricConfig::default()
-        }),
-        200.0,
+    let fabric = FabricConfig {
+        validate_cost: Duration::from_millis(1),
+        inbox_capacity: 50_000,
+        ..FabricConfig::default()
+    };
+    let clock = SimClock::with_speedup(200.0);
+    let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+    let deployment = Deployment::from_chain(
+        FabricSim::start(fabric, clock.clone(), net.clone()),
+        clock,
+        net,
     );
     let workload = WorkloadConfig {
         accounts: 10_000,

@@ -326,12 +326,5 @@ fn main() {
         ));
     }
     json.push_str("]}");
-    let dir = std::path::Path::new("target/bench-results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join("driver_ceiling.json");
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("\n[saved {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
-        }
-    }
+    bench::save_result("driver_ceiling.json", &json);
 }

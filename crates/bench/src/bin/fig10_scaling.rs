@@ -13,11 +13,12 @@
 //! Both sweeps drive each client thread in a near-closed loop (the control
 //! budget is far above the machine capacity), exactly like a peak test.
 
-use bench::save_csv;
-use hammer_core::deploy::{ChainSpec, Deployment};
+use bench::{save_csv, save_result};
+use hammer_core::deploy::Deployment;
 use hammer_core::driver::{EvalConfig, EvalReport, Evaluation};
 use hammer_core::machine::ClientMachine;
-use hammer_fabric::FabricConfig;
+use hammer_fabric::{FabricConfig, FabricSim};
+use hammer_net::{LinkConfig, SimClock, SimNetwork};
 use hammer_store::report::{render_table, to_csv};
 use hammer_workload::{AccessDistribution, ControlSequence, WorkloadConfig};
 use std::time::Duration;
@@ -37,7 +38,13 @@ fn run(fabric: FabricConfig, clients: u32, threads: u32, workload: WorkloadConfi
     // Moderate speed-up: the sweep compares 4-11 concurrent driver threads
     // on a 1-core host, so give every modelled delay enough wall time to
     // be scheduled accurately.
-    let deployment = Deployment::up(ChainSpec::Fabric(fabric), 30.0);
+    let clock = SimClock::with_speedup(30.0);
+    let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+    let deployment = Deployment::from_chain(
+        FabricSim::start(fabric, clock.clone(), net.clone()),
+        clock,
+        net,
+    );
     let workload = WorkloadConfig {
         clients,
         threads_per_client: threads,
@@ -136,16 +143,7 @@ fn main() {
 
     // Full machine-readable reports alongside the CSVs.
     let json = format!("{{\n  \"runs\": [\n{}\n  ]\n}}\n", json_runs.join(",\n"));
-    let dir = std::path::Path::new("target/bench-results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {dir:?}: {e}");
-    } else {
-        let path = dir.join("fig10_scaling.json");
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("[saved {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
-        }
-    }
+    save_result("fig10_scaling.json", &json);
 
     println!("Paper reference: best at 2 threads / 2 clients; more threads add");
     println!("scheduling overhead; more clients add conflicts, then node-side");

@@ -36,7 +36,7 @@ fn main() {
     {
         for mode in modes {
             eprintln!("measuring {chain_name} with {}...", mode_label(mode));
-            let mut spec = RunSpec::peak_named(chain_name, rate, seconds);
+            let mut spec = RunSpec::peak(chain_name, rate, seconds);
             spec.mode = mode;
             // The measuring client is the paper's 2-vCPU machine:
             // submission is comfortably within its budget, but Caliper's

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use hammer_core::deploy::{ChainSpec, Deployment};
+use hammer_core::deploy::{BackendOptions, BackendRegistry};
 use hammer_core::driver::{EvalConfig, EvalReport, Evaluation, TestingMode};
 use hammer_core::machine::ClientMachine;
 use hammer_workload::{ControlSequence, WorkloadConfig};
@@ -15,8 +15,8 @@ use hammer_workload::{ControlSequence, WorkloadConfig};
 /// Everything one evaluation run needs.
 #[derive(Clone, Debug)]
 pub struct RunSpec {
-    /// The system under test.
-    pub chain: ChainSpec,
+    /// The system under test, by registry name (`"fabric-sim"`, ...).
+    pub chain: String,
     /// Testing mode (Hammer / Blockbench / Caliper).
     pub mode: TestingMode,
     /// Target submission rate, transactions per simulated second.
@@ -35,6 +35,8 @@ pub struct RunSpec {
     pub speedup: f64,
     /// Simulated drain timeout after the last submission.
     pub drain_timeout: Duration,
+    /// Block-polling interval of the monitor (simulated time).
+    pub poll_interval: Duration,
     /// Interactive mode: per-event listener cost.
     pub listen_cost: Duration,
     /// Interactive mode: SDK event-buffer depth before losses.
@@ -42,24 +44,12 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// [`RunSpec::peak`] with the chain selected by registry name
-    /// (`"fabric-sim"`, `"neuchain-sim"`, ...) at its paper-default
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the name is not a registered backend.
-    pub fn peak_named(name: &str, rate: u32, seconds: usize) -> Self {
-        let chain = ChainSpec::by_name(name)
-            .unwrap_or_else(|| panic!("unknown backend {name:?}; see BackendRegistry::builtin()"));
-        Self::peak(chain, rate, seconds)
-    }
-
     /// A sensible default shape: peak measurement with an unconstrained
-    /// client (isolates the chain side).
-    pub fn peak(chain: ChainSpec, rate: u32, seconds: usize) -> Self {
+    /// client (isolates the chain side) against the registry backend
+    /// `chain`.
+    pub fn peak(chain: &str, rate: u32, seconds: usize) -> Self {
         RunSpec {
-            chain,
+            chain: chain.to_owned(),
             mode: TestingMode::TaskProcessing,
             rate,
             seconds,
@@ -69,19 +59,32 @@ impl RunSpec {
             machine: ClientMachine::unconstrained(),
             speedup: 100.0,
             drain_timeout: Duration::from_secs(120),
+            poll_interval: Duration::from_millis(100),
             listen_cost: Duration::from_micros(400),
             event_buffer: 1_000,
         }
     }
 
-    /// Executes the run and returns the report.
+    /// Executes the run on the builtin backends and returns the report.
     pub fn run(&self) -> EvalReport {
-        let deployment = Deployment::up(self.chain.clone(), self.speedup);
+        self.run_on(&BackendRegistry::builtin())
+    }
+
+    /// Executes the run on `registry`'s builder for [`RunSpec::chain`]
+    /// (register a tuned builder under the name to change its config).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the name is not registered.
+    pub fn run_on(&self, registry: &BackendRegistry) -> EvalReport {
+        let deployment = registry
+            .deploy(&self.chain, &BackendOptions::default(), self.speedup)
+            .unwrap_or_else(|e| panic!("{e}"));
         let workload = WorkloadConfig {
             accounts: self.accounts,
             clients: self.clients,
             threads_per_client: self.threads_per_client,
-            chain_name: self.chain.name().to_owned(),
+            chain_name: self.chain.clone(),
             ..WorkloadConfig::default()
         };
         let control = ControlSequence::constant(self.rate, self.seconds, Duration::from_secs(1));
@@ -89,7 +92,7 @@ impl RunSpec {
             .mode(self.mode)
             .machine(self.machine)
             .signer_threads(8)
-            .poll_interval(Duration::from_millis(100))
+            .poll_interval(self.poll_interval)
             .drain_timeout(self.drain_timeout)
             .listen_cost(self.listen_cost)
             .event_buffer(self.event_buffer)
@@ -129,17 +132,23 @@ pub fn summary_header() -> [&'static str; 8] {
     ]
 }
 
-/// Writes CSV text under `target/bench-results/<name>.csv`, creating the
+/// Writes CSV text under `target/bench-results/<name>.csv` (see
+/// [`save_result`]).
+pub fn save_csv(name: &str, csv: &str) {
+    save_result(&format!("{name}.csv"), csv);
+}
+
+/// Writes `text` to `target/bench-results/<file>`, creating the
 /// directory. Prints the path. Failures are reported, not fatal — the
 /// numbers are already on stdout.
-pub fn save_csv(name: &str, csv: &str) {
+pub fn save_result(file: &str, text: &str) {
     let dir = std::path::Path::new("target/bench-results");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {dir:?}: {e}");
         return;
     }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, csv) {
+    let path = dir.join(file);
+    match std::fs::write(&path, text) {
         Ok(()) => println!("\n[saved {}]", path.display()),
         Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
     }
@@ -156,7 +165,7 @@ mod tests {
 
     #[test]
     fn peak_runspec_runs_quickly_on_neuchain() {
-        let mut spec = RunSpec::peak(ChainSpec::neuchain_default(), 200, 2);
+        let mut spec = RunSpec::peak("neuchain-sim", 200, 2);
         spec.speedup = 1000.0;
         spec.accounts = 100;
         let report = spec.run();
@@ -165,7 +174,7 @@ mod tests {
 
     #[test]
     fn summary_row_matches_header_len() {
-        let mut spec = RunSpec::peak(ChainSpec::neuchain_default(), 100, 2);
+        let mut spec = RunSpec::peak("neuchain-sim", 100, 2);
         spec.speedup = 1000.0;
         spec.accounts = 50;
         let report = spec.run();

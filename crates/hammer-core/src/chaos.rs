@@ -1,41 +1,31 @@
-//! Chaos harness: run a backend under a seeded randomized fault schedule
-//! ([`hammer_net::ChaosSchedule`]) and check a run-level invariant oracle
-//! over the resulting report.
+//! The run-level invariant oracle: properties that must hold for *every*
+//! evaluation, whatever faults were injected. [`crate::scenario`] grades
+//! them on each run (`Scenario::run_on` is the one fault-drill harness),
+//! and `scenario_sweep` adds the leak probe after every cell.
 //!
-//! The oracle ([`check_report`], [`check_journal`]) verifies properties
-//! that must hold for *every* run, whatever faults were injected:
-//!
-//! 1. **Accounting identity** — `committed + failed + timed_out +
-//!    rejected + dropped + expired == submitted`: no transaction is lost
-//!    or double-counted, even when retries, drops, and watchdog aborts
-//!    interleave.
-//! 2. **Fault-window attribution exactness** — every
+//! 1. **Accounting identity** ([`check_report`]) — `committed + failed +
+//!    timed_out + rejected + dropped + expired == submitted`: no
+//!    transaction is lost or double-counted, even when retries, drops,
+//!    and watchdog aborts interleave.
+//! 2. **Fault-window attribution exactness** ([`check_report`]) — every
 //!    [`crate::FaultWindowStats`] entry matches an independent recount of
 //!    the commit times against the installed plan, and the windowed
 //!    entries plus the `nominal` entry cover each commit exactly once.
-//! 3. **Journal monotonicity** — per-node block-seal timestamps and the
-//!    fault enter/exit stream never run backwards on the simulated clock.
-//! 4. **No stall, no thread leak** — the run finished without tripping
-//!    the stall watchdog, and tearing the deployment down returns the
-//!    process to its baseline thread count.
-//!
-//! [`run_chaos_case`] packages the whole drill — deploy, discover fault
-//! targets, generate and install a schedule, evaluate, judge — and is
-//! shared by the `chaos_sweep` bench bin and the integration tests.
+//! 3. **Journal monotonicity** ([`check_journal`]) — per-node block-seal
+//!    timestamps and the fault enter/exit stream never run backwards on
+//!    the simulated clock.
+//! 4. **No thread or child leak** ([`leak_checks`]) — tearing the
+//!    deployment down returns the process to its baseline thread count
+//!    ([`live_threads`]) and leaves no unreaped child ([`live_children`]).
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use hammer_chain::types::TxStatus;
-use hammer_net::{
-    ChaosConfig, ChaosSchedule, ChaosTargets, FaultPlan, LinkConfig, SimClock, SimNetwork,
-};
-use hammer_obs::{EventKind, JournalEvent, Obs};
-use hammer_workload::{ControlSequence, WorkloadConfig};
+use hammer_net::FaultPlan;
+use hammer_obs::{EventKind, JournalEvent};
 
-use crate::deploy::{BackendOptions, BackendRegistry};
-use crate::driver::{EvalConfig, EvalReport, Evaluation};
-use crate::retry::RetryPolicy;
+use crate::driver::EvalReport;
 
 /// One invariant's verdict for a run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,87 +39,24 @@ pub struct InvariantCheck {
 }
 
 impl InvariantCheck {
-    /// A passing check (crate-internal: the chaos oracle and the scenario
+    /// A graded check (crate-internal: the chaos oracle and the scenario
     /// expectation layer are the only factories of evidence rows).
+    pub(crate) fn new(name: &'static str, passed: bool, detail: impl Into<String>) -> Self {
+        InvariantCheck {
+            name,
+            passed,
+            detail: detail.into(),
+        }
+    }
+
+    /// A passing check.
     pub(crate) fn pass(name: &'static str, detail: impl Into<String>) -> Self {
-        InvariantCheck {
-            name,
-            passed: true,
-            detail: detail.into(),
-        }
+        Self::new(name, true, detail)
     }
 
-    /// A failing check (crate-internal, see [`InvariantCheck::pass`]).
+    /// A failing check.
     pub(crate) fn fail(name: &'static str, detail: impl Into<String>) -> Self {
-        InvariantCheck {
-            name,
-            passed: false,
-            detail: detail.into(),
-        }
-    }
-}
-
-/// The oracle's verdict over one chaos case: which backend and seed ran,
-/// whether the watchdog fired, and every invariant's outcome.
-#[derive(Clone, Debug)]
-pub struct ChaosVerdict {
-    /// The backend evaluated (registry name).
-    pub backend: String,
-    /// The schedule seed.
-    pub seed: u64,
-    /// Whether the stall watchdog aborted the run.
-    pub stalled: bool,
-    /// Every invariant checked, in check order.
-    pub checks: Vec<InvariantCheck>,
-}
-
-impl ChaosVerdict {
-    /// Whether every invariant held.
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.passed)
-    }
-
-    /// The invariants that failed.
-    pub fn violations(&self) -> Vec<&InvariantCheck> {
-        self.checks.iter().filter(|c| !c.passed).collect()
-    }
-
-    /// Serialises the verdict as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"backend\":\"");
-        escape_into(&mut out, &self.backend);
-        out.push_str(&format!(
-            "\",\"seed\":{},\"stalled\":{},\"passed\":{},\"checks\":[",
-            self.seed,
-            self.stalled,
-            self.passed()
-        ));
-        for (i, check) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"passed\":{},\"detail\":\"",
-                check.name, check.passed
-            ));
-            escape_into(&mut out, &check.detail);
-            out.push_str("\"}");
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn escape_into(out: &mut String, value: &str) {
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+        Self::new(name, false, detail)
     }
 }
 
@@ -154,11 +81,11 @@ pub fn check_report(report: &EvalReport, plan: Option<&FaultPlan>) -> Vec<Invari
         report.rejected,
         report.submitted
     );
-    checks.push(if accounted == report.submitted {
-        InvariantCheck::pass("accounting_identity", detail)
-    } else {
-        InvariantCheck::fail("accounting_identity", detail)
-    });
+    checks.push(InvariantCheck::new(
+        "accounting_identity",
+        accounted == report.submitted,
+        detail,
+    ));
 
     checks.push(attribution_check(report, plan));
     checks
@@ -339,121 +266,13 @@ pub fn live_children() -> usize {
     .count()
 }
 
-/// One chaos drill: which backend to deploy, which seed drives both the
-/// fault schedule and the workload, and how hard to push.
-#[derive(Clone, Debug)]
-pub struct ChaosCase {
-    /// Registry name of the backend ([`BackendRegistry::builtin`]).
-    pub backend: String,
-    /// Seed for the fault schedule and the workload generator.
-    pub seed: u64,
-    /// Control-sequence length in one-second slices.
-    pub slices: usize,
-    /// Transactions per slice.
-    pub rate: u32,
-    /// Simulated-clock speedup.
-    pub speedup: f64,
-    /// Stall-watchdog budget (simulated). Must comfortably exceed the
-    /// backend's block interval and the longest generated fault window.
-    pub stall_budget: Duration,
-}
-
-impl ChaosCase {
-    /// A case with sweep-friendly defaults: 10 slices at 100 tx/s, 100×
-    /// speedup, and a 30-second stall budget (clear of Ethereum's
-    /// 15-second blocks and the generator's 3-second window cap).
-    pub fn new(backend: impl Into<String>, seed: u64) -> Self {
-        ChaosCase {
-            backend: backend.into(),
-            seed,
-            slices: 10,
-            rate: 100,
-            speedup: 100.0,
-            stall_budget: Duration::from_secs(30),
-        }
-    }
-}
-
-/// Runs one chaos case end-to-end and returns the oracle's verdict:
-/// deploy the backend fresh, discover its fault targets, generate and
-/// install the seeded schedule, evaluate under the resilient submission
-/// path with the stall watchdog armed, then check every invariant and
-/// tear the deployment down (probing for leaked threads).
-pub fn run_chaos_case(case: &ChaosCase) -> ChaosVerdict {
-    let threads_before = live_threads();
-    let children_before = live_children();
-    let registry = BackendRegistry::builtin();
-    let clock = SimClock::with_speedup(case.speedup);
-    let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
-    net.install_obs(Obs::new());
-    let deployment = registry
-        .deploy_on(
-            &case.backend,
-            &BackendOptions::default(),
-            clock,
-            net.clone(),
-        )
-        .expect("chaos cases target registered backends");
-
-    let targets = ChaosTargets::new(
-        deployment.chain().ingress_nodes(),
-        deployment.chain().sealer_nodes(),
-    );
-    let slice = Duration::from_secs(1);
-    let chaos_config = ChaosConfig {
-        horizon: slice * case.slices as u32,
-        ..ChaosConfig::default()
-    };
-    let schedule = ChaosSchedule::generate(case.seed, &targets, &chaos_config);
-    net.try_install_faults(schedule.into_plan())
-        .expect("generated schedules always validate against their topology");
-
-    let control = ControlSequence::constant(case.rate, case.slices, slice);
-    let workload = WorkloadConfig {
-        accounts: 200,
-        seed: case.seed,
-        ..WorkloadConfig::default()
-    };
-    let evaluation = Evaluation::new(
-        EvalConfig::builder()
-            .poll_interval(Duration::from_millis(50))
-            .drain_timeout(Duration::from_secs(60))
-            .retry(RetryPolicy::standard())
-            .stall_budget(case.stall_budget)
-            .build()
-            .expect("the chaos harness configuration is statically valid"),
-    );
-
-    let outcome = evaluation.run(&deployment, &workload, &control);
-
-    let plan = net.fault_plan();
-    let events = net.obs().journal().events();
-    let mut stalled = false;
-    let mut checks = Vec::new();
-    match outcome {
-        Ok(report) => {
-            stalled = report.stalled;
-            checks.extend(check_report(&report, plan.as_deref()));
-            checks.push(check_journal(&events));
-            checks.push(if report.stalled {
-                InvariantCheck::fail(
-                    "no_stall",
-                    format!("watchdog aborted with {} pending", report.timed_out),
-                )
-            } else {
-                InvariantCheck::pass("no_stall", "run completed without a watchdog abort")
-            });
-        }
-        Err(e) => checks.push(InvariantCheck::fail("run_completes", e.to_string())),
-    }
-
-    drop(deployment);
-    // Deployment teardown joins node threads synchronously, and joining
-    // the scheduler makes the teardown point *deterministic* — after
-    // this line every framework thread is gone, no settling wait needed.
-    net.shutdown_and_join();
-    drop(net);
-    // A short grace loop still covers unrelated process threads (e.g. a
+/// Grades the leak probe against counts taken before a run (with
+/// [`live_threads`] and [`live_children`]): `no_thread_leak` and
+/// `no_child_leak`. Call it after the deployment is torn down and the
+/// network's scheduler joined — `Scenario::run_on` does both before it
+/// returns, so every framework thread is gone by then.
+pub fn leak_checks(threads_before: usize, children_before: usize) -> Vec<InvariantCheck> {
+    // A short grace loop covers unrelated process threads (e.g. a
     // just-finished parallel test) unwinding underneath the probe.
     let probe_deadline = std::time::Instant::now() + Duration::from_secs(5);
     let mut threads_after = live_threads();
@@ -461,39 +280,22 @@ pub fn run_chaos_case(case: &ChaosCase) -> ChaosVerdict {
         std::thread::sleep(Duration::from_millis(20));
         threads_after = live_threads();
     }
-    checks.push(if threads_after <= threads_before {
-        InvariantCheck::pass(
-            "no_thread_leak",
-            format!("before={threads_before} after={threads_after}"),
-        )
-    } else {
-        InvariantCheck::fail(
-            "no_thread_leak",
-            format!("before={threads_before} after={threads_after}"),
-        )
-    });
-    // Orphan probe: everything the case spawned (nothing, for in-process
-    // backends; node-host processes once supervisors are in play) must
-    // be dead *and reaped* by now.
+    // Orphan probe: every node-host process a run spawned must be dead
+    // *and reaped* by now.
     let children_after = live_children();
-    checks.push(if children_after <= children_before {
-        InvariantCheck::pass(
-            "no_child_leak",
-            format!("before={children_before} after={children_after}"),
+    [
+        ("no_thread_leak", threads_before, threads_after),
+        ("no_child_leak", children_before, children_after),
+    ]
+    .into_iter()
+    .map(|(name, before, after)| {
+        InvariantCheck::new(
+            name,
+            after <= before,
+            format!("before={before} after={after}"),
         )
-    } else {
-        InvariantCheck::fail(
-            "no_child_leak",
-            format!("before={children_before} after={children_after}"),
-        )
-    });
-
-    ChaosVerdict {
-        backend: case.backend.clone(),
-        seed: case.seed,
-        stalled,
-        checks,
-    }
+    })
+    .collect()
 }
 
 #[cfg(test)]
@@ -501,7 +303,6 @@ mod tests {
     use super::*;
     use crate::index::TxRecord;
     use hammer_chain::types::TxId;
-    use hammer_store::table::LatencySummary;
 
     fn record(i: u8, end_ms: Option<u64>, status: TxStatus) -> TxRecord {
         TxRecord {
@@ -530,25 +331,11 @@ mod tests {
         EvalReport {
             chain: "test".to_owned(),
             submitted: records.len() as u64,
-            rejected: 0,
-            retried: 0,
-            dropped: 0,
-            expired: 0,
             committed,
             failed,
             timed_out,
-            overall_tps: 0.0,
-            latency: LatencySummary::default(),
-            tps_series: vec![],
-            per_client_committed: vec![],
-            per_shard_committed: vec![],
-            sim_duration: Duration::ZERO,
-            wall_time: Duration::ZERO,
-            synced_rows: 0,
-            index_stats: None,
-            fault_windows: vec![],
-            stalled: false,
             records,
+            ..EvalReport::default()
         }
     }
 
@@ -622,25 +409,5 @@ mod tests {
         // A single node running backwards is not.
         let bad = vec![seal("a", 10), seal("a", 5)];
         assert!(!check_journal(&bad).passed);
-    }
-
-    #[test]
-    fn verdict_json_is_well_formed() {
-        let verdict = ChaosVerdict {
-            backend: "neuchain-sim".to_owned(),
-            seed: 7,
-            stalled: false,
-            checks: vec![
-                InvariantCheck::pass("accounting_identity", "all accounted"),
-                InvariantCheck::fail("no_stall", "aborted with 3 \"pending\""),
-            ],
-        };
-        assert!(!verdict.passed());
-        assert_eq!(verdict.violations().len(), 1);
-        let json = verdict.to_json();
-        assert!(json.contains("\"backend\":\"neuchain-sim\""), "{json}");
-        assert!(json.contains("\"passed\":false"), "{json}");
-        assert!(json.contains("\\\"pending\\\""), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -340,7 +340,7 @@ pub struct FaultWindowStats {
 }
 
 /// The result of one evaluation run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EvalReport {
     /// The evaluated chain's name.
     pub chain: String,
@@ -1920,8 +1920,13 @@ fn interactive_monitor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::ChainSpec;
-    use hammer_neuchain::NeuchainConfig;
+    use crate::deploy::{BackendOptions, BackendRegistry};
+
+    fn deploy(backend: &str, speedup: f64) -> Deployment {
+        BackendRegistry::builtin()
+            .deploy(backend, &BackendOptions::default(), speedup)
+            .expect("builtin backend")
+    }
 
     fn small_workload(total: usize) -> WorkloadConfig {
         WorkloadConfig {
@@ -1945,7 +1950,7 @@ mod tests {
 
     #[test]
     fn evaluates_neuchain_end_to_end() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+        let deployment = deploy("neuchain-sim", 1000.0);
         let control = ControlSequence::constant(100, 3, Duration::from_secs(1));
         let report = Evaluation::new(fast_config())
             .run(&deployment, &small_workload(300), &control)
@@ -1960,7 +1965,7 @@ mod tests {
 
     #[test]
     fn batch_baseline_also_completes() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+        let deployment = deploy("neuchain-sim", 1000.0);
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         let report = Evaluation::new(
             fast_builder()
@@ -1975,7 +1980,7 @@ mod tests {
 
     #[test]
     fn interactive_mode_tracks_events() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+        let deployment = deploy("neuchain-sim", 1000.0);
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         let report = Evaluation::new(
             fast_builder()
@@ -1990,7 +1995,7 @@ mod tests {
 
     #[test]
     fn sharded_chain_evaluated_through_same_driver() {
-        let deployment = Deployment::up(ChainSpec::meepo_default(), 1000.0);
+        let deployment = deploy("meepo-sim", 1000.0);
         let control = ControlSequence::constant(60, 3, Duration::from_secs(1));
         let report = Evaluation::new(fast_config())
             .run(&deployment, &small_workload(180), &control)
@@ -2043,7 +2048,7 @@ mod tests {
         // With no fault plan installed the retry policy must never fire:
         // the report carries zero retried/dropped/expired and no
         // fault-window breakdown.
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+        let deployment = deploy("neuchain-sim", 1000.0);
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         let report = Evaluation::new(
             fast_builder()
@@ -2062,7 +2067,7 @@ mod tests {
 
     #[test]
     fn retry_deadline_longer_than_slice_rejected() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+        let deployment = deploy("neuchain-sim", 1000.0);
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         let err = Evaluation::new(
             fast_builder()
@@ -2080,7 +2085,7 @@ mod tests {
 
     #[test]
     fn invalid_retry_policy_rejected() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+        let deployment = deploy("neuchain-sim", 1000.0);
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         // The builder is the only public entry and rejects this policy at
         // build time; mutate a built config directly (pub(crate) fields)
@@ -2098,7 +2103,7 @@ mod tests {
 
     #[test]
     fn empty_control_sequence_rejected() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+        let deployment = deploy("neuchain-sim", 1000.0);
         let control = ControlSequence::from_budgets(vec![], Duration::from_secs(1));
         let err = Evaluation::new(fast_config())
             .run(&deployment, &small_workload(10), &control)
@@ -2113,7 +2118,7 @@ mod tests {
             SigningStrategy::Async,
             SigningStrategy::Pipelined,
         ] {
-            let deployment = Deployment::up(ChainSpec::Neuchain(NeuchainConfig::default()), 1000.0);
+            let deployment = deploy("neuchain-sim", 1000.0);
             let control = ControlSequence::constant(40, 2, Duration::from_secs(1));
             let report = Evaluation::new(fast_builder().signing(signing).build().unwrap())
                 .run(&deployment, &small_workload(80), &control)
@@ -2130,7 +2135,7 @@ mod tests {
     fn live_sync_pipeline_matches_direct_path() {
         let control = ControlSequence::constant(60, 3, Duration::from_secs(1));
         let run = |live_sync: bool| {
-            let deployment = Deployment::up(ChainSpec::neuchain_default(), 500.0);
+            let deployment = deploy("neuchain-sim", 500.0);
             Evaluation::new(fast_builder().live_sync(live_sync).build().unwrap())
                 .run(&deployment, &small_workload(180), &control)
                 .unwrap()
@@ -2157,7 +2162,7 @@ mod tests {
 
     #[test]
     fn ycsb_workload_runs() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+        let deployment = deploy("neuchain-sim", 1000.0);
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         let workload = WorkloadConfig {
             kind: WorkloadKind::Ycsb,
@@ -2173,7 +2178,7 @@ mod tests {
 
     #[test]
     fn report_to_json_is_well_formed() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+        let deployment = deploy("neuchain-sim", 1000.0);
         let control = ControlSequence::constant(40, 2, Duration::from_secs(1));
         let report = Evaluation::new(fast_config())
             .run(&deployment, &small_workload(80), &control)
@@ -2266,7 +2271,7 @@ mod tests {
     #[test]
     fn obs_installed_run_emits_spans_metrics_and_journal() {
         use hammer_obs::EventKind;
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+        let deployment = deploy("neuchain-sim", 1000.0);
         deployment.net().install_obs(Obs::new());
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         let report = Evaluation::new(fast_config())
@@ -2296,7 +2301,7 @@ mod tests {
 
     #[test]
     fn default_run_keeps_obs_disabled() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+        let deployment = deploy("neuchain-sim", 1000.0);
         let control = ControlSequence::constant(40, 2, Duration::from_secs(1));
         Evaluation::new(fast_config())
             .run(&deployment, &small_workload(80), &control)
@@ -2312,7 +2317,7 @@ mod tests {
         // A bursty control sequence should shape the tps series: the
         // burst slice dominates. Run at a modest speed-up so scheduling
         // noise on loaded single-core hosts cannot smear the burst.
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 200.0);
+        let deployment = deploy("neuchain-sim", 200.0);
         let control = ControlSequence::from_budgets(vec![10, 200, 10], Duration::from_secs(1));
         let report = Evaluation::new(fast_config())
             .run(&deployment, &small_workload(220), &control)

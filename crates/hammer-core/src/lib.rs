@@ -19,20 +19,23 @@
 //! The [`driver`] module orchestrates a full evaluation — preparation,
 //! execution, and reporting (Fig. 3) — against any
 //! [`hammer_chain::client::BlockchainClient`]. [`deploy`] brings up a
-//! simulated system under test with one call (the paper's Ansible role),
-//! and [`machine`] models the evaluation client's limited vCPUs, which is
-//! what makes thread/client scaling behave like the paper's Fig. 10.
+//! simulated system under test by name with one call (the paper's
+//! Ansible role), and [`machine`] models the evaluation client's limited
+//! vCPUs, which is what makes thread/client scaling behave like the
+//! paper's Fig. 10.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use std::time::Duration;
-//! use hammer_core::deploy::{ChainSpec, Deployment};
+//! use hammer_core::deploy::{BackendOptions, BackendRegistry};
 //! use hammer_core::driver::{EvalConfig, Evaluation};
 //! use hammer_workload::{ControlSequence, WorkloadConfig};
 //!
-//! // 1. Deploy a simulated SUT (1000x accelerated clock).
-//! let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+//! // 1. Deploy a simulated SUT by name (1000x accelerated clock).
+//! let deployment = BackendRegistry::builtin()
+//!     .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+//!     .unwrap();
 //! // 2. Describe the workload and control sequence.
 //! let workload = WorkloadConfig {
 //!     accounts: 100,
@@ -68,11 +71,11 @@ pub mod sync;
 
 pub use baseline::BatchQueue;
 pub use bloom::BloomFilter;
-pub use chaos::{ChaosCase, ChaosVerdict, InvariantCheck};
+pub use chaos::InvariantCheck;
 pub use checkpoint::{DriverCheckpoint, RecoveryConfig};
 pub use deploy::{
-    BackendOptions, BackendRegistry, ChainSpec, DeployError, DeployMode, Deployment,
-    ProcessFaultStats, Supervisor, SupervisorConfig, UnknownBackend,
+    BackendOptions, BackendRegistry, DeployError, DeployMode, Deployment, ProcessFaultStats,
+    Supervisor, SupervisorConfig, UnknownBackend,
 };
 pub use driver::{
     EvalConfig, EvalConfigBuilder, EvalReport, Evaluation, FaultWindowStats, TestingMode,

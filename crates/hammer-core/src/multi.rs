@@ -107,10 +107,18 @@ pub fn run_distributed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::ChainSpec;
+    use crate::deploy::{BackendOptions, BackendRegistry};
     use crate::driver::TestingMode;
     use crate::machine::ClientMachine;
     use std::time::Duration;
+
+    fn neuchain() -> Deployment {
+        // Distributed runs pick the shared SUT by registry name, the way
+        // a driver-server config file would.
+        BackendRegistry::builtin()
+            .deploy("neuchain-sim", &BackendOptions::default(), 500.0)
+            .expect("neuchain-sim is a builtin backend")
+    }
 
     fn fast_config() -> EvalConfig {
         EvalConfig::builder()
@@ -123,15 +131,7 @@ mod tests {
 
     #[test]
     fn two_drivers_share_one_chain() {
-        // Distributed runs pick the shared SUT by registry name, the way
-        // a driver-server config file would.
-        let deployment = crate::deploy::BackendRegistry::builtin()
-            .deploy(
-                "neuchain-sim",
-                &crate::deploy::BackendOptions::default(),
-                500.0,
-            )
-            .expect("neuchain-sim is a builtin backend");
+        let deployment = neuchain();
         let workload = WorkloadConfig {
             accounts: 100,
             chain_name: "neuchain-sim".to_owned(),
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn zero_drivers_rejected() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 500.0);
+        let deployment = neuchain();
         let workload = WorkloadConfig::default();
         let control = ControlSequence::constant(10, 1, Duration::from_secs(1));
         assert!(matches!(
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn batch_baseline_drivers_have_no_index_stats() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 500.0);
+        let deployment = neuchain();
         let workload = WorkloadConfig {
             accounts: 50,
             chain_name: "neuchain-sim".to_owned(),

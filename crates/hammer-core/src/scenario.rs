@@ -17,7 +17,7 @@
 //! and grades the report into a [`Verdict`] with per-expectation
 //! pass/fail evidence.
 //!
-//! The shipped corpus ([`corpus`]) is data, not code: six JSON specs
+//! The shipped corpus ([`corpus`]) is data, not code: eight JSON specs
 //! under `scenarios/` at the repository root, each runnable by name
 //! (`scenario_sweep` bench bin, `examples/scenarios.rs`).
 //!
@@ -52,11 +52,11 @@ use hammer_workload::{
     AccessDistribution, ControlSequence, TraceKind, TraceSpec, WorkloadConfig, WorkloadKind,
 };
 
-use crate::chaos::{check_report, InvariantCheck};
+use crate::chaos::{check_journal, check_report, InvariantCheck};
 use crate::checkpoint::RecoveryConfig;
 use crate::deploy::{
-    reconnect_policy_for, BackendOptions, BackendRegistry, DeployMode, Deployment,
-    ProcessFaultStats, SupervisorConfig,
+    reconnect_policy_for, BackendOptions, BackendRegistry, DeployError, DeployMode, Deployment,
+    ProcessFaultStats, SupervisorConfig, UnknownBackend,
 };
 use crate::driver::{EvalConfig, EvalError, EvalReport, Evaluation};
 use crate::retry::RetryPolicy;
@@ -329,7 +329,15 @@ impl ChaosSpec {
             ChaosSpec::Scripted(specs) => {
                 let mut plan = FaultPlan::new();
                 for spec in specs {
-                    plan = spec.apply(plan, targets, endpoints)?;
+                    // Two specs that resolve to one node over one window
+                    // (`ingress:0` and `sealer:0` on a chain whose only
+                    // ingress also seals) are the same fault: keep one
+                    // window rather than report a contradictory overlap.
+                    for window in spec.apply(FaultPlan::new(), targets, endpoints)?.windows() {
+                        if !plan.windows().contains(window) {
+                            plan = plan.with_window(window.clone());
+                        }
+                    }
                 }
                 plan.validate()
                     .map_err(|e: FaultPlanError| ScenarioError::Chaos(e.to_string()))?;
@@ -398,6 +406,15 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::Deploy(msg) => write!(f, "deploy: {msg}"),
             ScenarioError::Spec(msg) => write!(f, "scenario spec: {msg}"),
             ScenarioError::Config(e) => write!(f, "driver config: {e}"),
+        }
+    }
+}
+
+impl From<UnknownBackend> for ScenarioError {
+    fn from(e: UnknownBackend) -> Self {
+        ScenarioError::UnknownBackend {
+            name: e.name,
+            known: e.known,
         }
     }
 }
@@ -926,7 +943,8 @@ impl Scenario {
     /// `node-host` OS process behind real TCP), installs the compiled
     /// fault plan, drives the unmodified driver (the checkpointing
     /// variant when a recovery spec is set — including the kill and the
-    /// resume), and grades the expectations into a [`Verdict`].
+    /// resume), and grades the expectations — plus the oracle's
+    /// `journal_monotonicity`, which every run gets — into a [`Verdict`].
     ///
     /// Teardown is deterministic: the deployment comes down and the
     /// simulated network's scheduler thread is joined before this
@@ -937,12 +955,9 @@ impl Scenario {
         let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         net.install_obs(Obs::new());
         let deployment = match self.spec.deploy_mode {
-            DeployMode::InProcess => registry
-                .deploy_on(&self.spec.backend, &self.spec.options, clock, net.clone())
-                .map_err(|e| ScenarioError::UnknownBackend {
-                    name: e.name,
-                    known: e.known,
-                })?,
+            DeployMode::InProcess => {
+                registry.deploy_on(&self.spec.backend, &self.spec.options, clock, net.clone())?
+            }
             DeployMode::MultiProcess => registry
                 .deploy_multi(
                     &self.spec.backend,
@@ -953,10 +968,7 @@ impl Scenario {
                     reconnect_policy_for(&self.spec.retry, &clock),
                 )
                 .map_err(|e| match e {
-                    crate::deploy::DeployError::Unknown(u) => ScenarioError::UnknownBackend {
-                        name: u.name,
-                        known: u.known,
-                    },
+                    DeployError::Unknown(u) => u.into(),
                     other => ScenarioError::Deploy(other.to_string()),
                 })?,
         };
@@ -1015,6 +1027,9 @@ impl Scenario {
                 &mut checks,
             );
         }
+        // Graded on every run, stated or not: a journal whose simulated
+        // clock runs backwards means the run's evidence is unsound.
+        checks.push(check_journal(&obs.journal().events()));
         Ok((report, checks))
     }
 
@@ -1611,7 +1626,7 @@ impl Verdict {
     }
 }
 
-/// The shipped scenario corpus — six JSON specs under `scenarios/` at
+/// The shipped scenario corpus — eight JSON specs under `scenarios/` at
 /// the repository root, embedded as data and runnable by name.
 pub mod corpus {
     use super::{Scenario, ScenarioError};
@@ -1642,6 +1657,14 @@ pub mod corpus {
             "crash-during-drain",
             include_str!("../../../scenarios/crash_during_drain.json"),
         ),
+        (
+            "ingress-blackhole",
+            include_str!("../../../scenarios/ingress_blackhole.json"),
+        ),
+        (
+            "crash-restart",
+            include_str!("../../../scenarios/crash_restart.json"),
+        ),
     ];
 
     /// Every corpus scenario name, in ship order.
@@ -1663,5 +1686,97 @@ pub mod corpus {
             ))
         })?;
         Scenario::from_json(spec)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn crash(node: NodeRef, start_s: u64, end_s: u64) -> FaultSpec {
+        FaultSpec::Crash {
+            node,
+            start: Duration::from_secs(start_s),
+            end: Duration::from_secs(end_s),
+        }
+    }
+
+    #[test]
+    fn same_fault_on_one_node_merges_into_one_window() {
+        let window = Duration::from_secs(10);
+        let specs = ChaosSpec::Scripted(vec![
+            crash(NodeRef::Ingress(0), 3, 5),
+            crash(NodeRef::Sealer(0), 3, 5),
+        ]);
+        // Ethereum-shaped topology: the only ingress node also seals.
+        let single = ChaosTargets::new(vec!["eth-node-0".into()], vec!["eth-node-0".into()]);
+        let plan = specs.to_plan(&single, &[], window).unwrap();
+        assert_eq!(plan.windows().len(), 1, "{plan:?}");
+        assert_eq!(plan.windows()[0].label, "crash:eth-node-0");
+
+        // Distinct nodes keep one window each.
+        let split = ChaosTargets::new(vec!["proxy".into()], vec!["epoch".into()]);
+        assert_eq!(
+            specs.to_plan(&split, &[], window).unwrap().windows().len(),
+            2
+        );
+
+        // The same node over two different, overlapping windows is still
+        // a contradiction, not a merge.
+        let overlapping = ChaosSpec::Scripted(vec![
+            crash(NodeRef::Ingress(0), 3, 5),
+            crash(NodeRef::Sealer(0), 4, 6),
+        ]);
+        let err = overlapping.to_plan(&single, &[], window).unwrap_err();
+        assert!(matches!(err, ScenarioError::Chaos(_)), "{err}");
+    }
+
+    #[test]
+    fn verdict_json_round_trips_through_the_parser() {
+        let verdict = |process_faults| Verdict {
+            scenario: "drill".to_owned(),
+            backend: "neuchain-sim".to_owned(),
+            stalled: false,
+            process_faults,
+            checks: vec![
+                InvariantCheck::pass("accounting_identity", "all accounted"),
+                InvariantCheck::fail("no_stall", "aborted with 3 \"pending\""),
+            ],
+            report: EvalReport {
+                chain: "neuchain-sim".to_owned(),
+                ..EvalReport::default()
+            },
+        };
+
+        let in_process = verdict(None);
+        let json = in_process.to_json();
+        assert!(json.contains(r#"aborted with 3 \"pending\""#), "{json}");
+        let parsed = Value::parse(&json).expect("verdict JSON parses");
+        assert_eq!(
+            parsed.get("scenario").and_then(Value::as_str),
+            Some("drill")
+        );
+        assert_eq!(parsed.get("passed").and_then(Value::as_bool), Some(false));
+        let checks = parsed.get("checks").and_then(Value::as_array).unwrap();
+        assert_eq!(checks.len(), 2);
+        assert_eq!(
+            checks[1].get("detail").and_then(Value::as_str),
+            Some("aborted with 3 \"pending\"")
+        );
+        let report = parsed.get("report").expect("report spliced in");
+        assert_eq!(
+            report.get("chain").and_then(Value::as_str),
+            Some("neuchain-sim")
+        );
+        assert!(parsed.get("process_faults").is_none());
+
+        let multi = verdict(Some(ProcessFaultStats {
+            kills: 2,
+            restarts: 1,
+        }));
+        let parsed = Value::parse(&multi.to_json()).expect("verdict JSON parses");
+        let stats = parsed.get("process_faults").expect("multi-process stats");
+        assert_eq!(stats.get("kills").and_then(Value::as_u64), Some(2));
+        assert_eq!(stats.get("restarts").and_then(Value::as_u64), Some(1));
     }
 }

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use hammer::core::deploy::{ChainSpec, Deployment};
+use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::machine::ClientMachine;
 use hammer::store::report::render_table;
@@ -20,16 +20,18 @@ fn main() {
     let rate = 50u32;
     let seconds = 10usize;
 
+    let registry = BackendRegistry::builtin();
     let mut rows = Vec::new();
-    for spec in ChainSpec::all_defaults() {
-        let name = spec.name().to_owned();
+    for name in registry.names() {
         eprintln!("evaluating {name}...");
-        let deployment = Deployment::up(spec, 200.0);
+        let deployment = registry
+            .deploy(name, &BackendOptions::default(), 200.0)
+            .expect("builtin backend");
         let workload = WorkloadConfig {
             accounts: 2_000,
             clients: 2,
             threads_per_client: 2,
-            chain_name: name.clone(),
+            chain_name: name.to_owned(),
             ..WorkloadConfig::default()
         };
         let control = ControlSequence::constant(rate, seconds, Duration::from_secs(1));
@@ -42,7 +44,7 @@ fn main() {
             .run(&deployment, &workload, &control)
             .expect("evaluation failed");
         rows.push(vec![
-            name,
+            name.to_owned(),
             format!("{:.1}", report.overall_tps),
             format!("{:.3}", report.latency.mean_s),
             format!("{:.3}", report.latency.p95_s),

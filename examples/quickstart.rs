@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use hammer::core::deploy::{ChainSpec, Deployment};
+use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::net::{LinkConfig, SimClock, SimNetwork};
 use hammer::obs::{render_dashboard, Obs};
@@ -23,7 +23,9 @@ fn main() {
     let clock = SimClock::with_speedup(200.0);
     let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
     net.install_obs(Obs::new());
-    let deployment = Deployment::up_on(ChainSpec::neuchain_default(), clock, net);
+    let deployment = BackendRegistry::builtin()
+        .deploy_on("neuchain-sim", &BackendOptions::default(), clock, net)
+        .expect("builtin backend");
 
     // 2. Describe the workload: SmallBank over 1 000 accounts, submitted
     //    by 2 clients x 2 threads (the paper's sweet spot).

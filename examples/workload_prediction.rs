@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use hammer::core::deploy::{ChainSpec, Deployment};
+use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::machine::ClientMachine;
 use hammer::predict::generate::generate_denormalized;
@@ -58,7 +58,9 @@ fn main() {
     );
 
     // 5. Evaluate Neuchain under the predicted load shape.
-    let deployment = Deployment::up(ChainSpec::neuchain_default(), 200.0);
+    let deployment = BackendRegistry::builtin()
+        .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
+        .expect("builtin backend");
     let workload = WorkloadConfig {
         accounts: 2_000,
         chain_name: "neuchain-sim".to_owned(),

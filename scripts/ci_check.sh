@@ -95,14 +95,16 @@ if ! echo "$ceiling_out" | grep -q 'accounting identity holds'; then
 fi
 
 echo "==> chaos smoke: seeded schedules x all backends, invariant oracle"
-# Fixed small matrix (3 seeds, 20 one-second slices) so the gate stays
-# well under a minute on a 1-core host; the full acceptance matrix is
-# `chaos_sweep --seeds 10`. The binary exits non-zero on any violation;
-# the grep is a belt-and-suspenders check on its summary line.
-chaos_out=$(cargo run --release --offline -p bench --bin chaos_sweep -- \
+# Fixed small matrix (3 seeds x 4 backends, 20 one-second slices) so the
+# gate stays well under a minute on a 1-core host; the full acceptance
+# matrix is `scenario_sweep --seeds 10`. Every cell grades the
+# accounting identity, fault-window attribution, journal monotonicity,
+# no stall, and no thread/child leak. The binary exits non-zero on any
+# violation; the grep is a belt-and-suspenders check on its summary line.
+chaos_out=$(cargo run --release --offline -p bench --bin scenario_sweep -- \
     --seeds 3 --slices 20)
 echo "$chaos_out" | tail -n 1
-if ! echo "$chaos_out" | grep -q ', 0 invariant violations'; then
+if ! echo "$chaos_out" | grep -q ', 0 expectation violations'; then
     echo "ci_check: chaos sweep reported invariant violations" >&2
     exit 1
 fi
@@ -110,7 +112,7 @@ fi
 echo "==> scenario smoke: corpus scenarios graded by their expectations"
 # Two fast corpus scenarios x two fast backends through the scenario
 # DSL (retarget + run + expectation grading); the full matrix is the
-# bare `scenario_sweep` (6 scenarios x 4 backends). The binary exits
+# bare `scenario_sweep` (8 scenarios x 4 backends). The binary exits
 # non-zero on any expectation violation; the grep pins the summary.
 scenario_out=$(cargo run --release --offline -p bench --bin scenario_sweep -- --smoke)
 echo "$scenario_out" | tail -n 1

@@ -23,7 +23,9 @@
 //!   never got to send a kill. No orphans.
 //!
 //! Beyond the chain RPC surface (`hammer_chain::rpc_adapter::serve_sim`),
-//! the host registers `install_faults`: the driver forwards its
+//! the host registers `endpoint_names` (every node on its simulated
+//! network, which the driver mirrors so fault specs resolve against the
+//! same topology as in-process) and `install_faults`: the driver forwards its
 //! [`FaultPlan`] here so blackhole/partition/latency windows act on this
 //! process's own simulated network (crash windows are realised by the
 //! supervisor as SIGKILL; forwarding them too keeps ingress-refusal
@@ -126,6 +128,16 @@ fn main() -> ExitCode {
     };
 
     let rpc = hammer_chain::rpc_adapter::serve_sim(Arc::clone(deployment.chain()));
+    let topology = net.clone();
+    rpc.register("endpoint_names", move |_| {
+        Ok(Value::Array(
+            topology
+                .endpoint_names()
+                .into_iter()
+                .map(Value::from)
+                .collect(),
+        ))
+    });
     rpc.register("install_faults", move |params| {
         let plan = FaultPlan::from_value(&params).map_err(RpcError::invalid_params)?;
         net.try_install_faults(plan)

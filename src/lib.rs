@@ -15,13 +15,15 @@
 //!
 //! ```
 //! use std::time::Duration;
-//! use hammer::core::deploy::{ChainSpec, Deployment};
+//! use hammer::core::deploy::{BackendOptions, BackendRegistry};
 //! use hammer::core::driver::{EvalConfig, Evaluation};
 //! use hammer::workload::{ControlSequence, WorkloadConfig};
 //!
 //! // Deploy a simulated SUT at 1000x real time, describe a workload,
 //! // shape it with a control sequence, and run the evaluation.
-//! let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+//! let deployment = BackendRegistry::builtin()
+//!     .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+//!     .unwrap();
 //! let workload = WorkloadConfig { accounts: 100, ..WorkloadConfig::default() };
 //! let control = ControlSequence::constant(100, 2, Duration::from_secs(1));
 //! let config = EvalConfig::builder().build().unwrap();

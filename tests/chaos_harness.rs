@@ -6,36 +6,67 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hammer::core::chaos::{run_chaos_case, ChaosCase};
+use hammer::core::chaos::{leak_checks, live_children, live_threads};
 use hammer::core::checkpoint::RecoveryConfig;
 use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, EvalError, EvalReport, Evaluation};
 use hammer::core::machine::ClientMachine;
 use hammer::core::retry::RetryPolicy;
+use hammer::core::scenario::Scenario;
+use hammer::net::ChaosConfig;
 use hammer::obs::EventKind;
 use hammer::store::kv::KvStore;
 use hammer::workload::{ControlSequence, WorkloadConfig};
 
 mod common;
 
-/// A CI-scaled version of the `chaos_sweep` acceptance run: every
-/// registered backend under two seeded schedules, zero invariant
-/// violations expected. (`chaos_sweep --seeds 10` is the full matrix.)
+/// A CI-scaled version of the seeded chaos matrix
+/// (`scenario_sweep --seeds 10`): every registered backend under two
+/// seeded schedules, each cell a builder-made scenario graded by the
+/// whole invariant oracle with zero violations expected.
 #[test]
 fn oracle_passes_under_seeded_chaos_on_every_backend() {
+    const INVARIANTS: [&str; 6] = [
+        "accounting_identity",
+        "fault_window_attribution",
+        "journal_monotonicity",
+        "no_stall",
+        "no_thread_leak",
+        "no_child_leak",
+    ];
     let _guard = common::serial_guard();
     for backend in ["ethereum-sim", "fabric-sim", "meepo-sim", "neuchain-sim"] {
         for seed in [7u64, 1312] {
-            let case = ChaosCase {
-                rate: 50,
-                ..ChaosCase::new(backend, seed)
-            };
-            let verdict = run_chaos_case(&case);
-            assert!(
-                verdict.passed(),
-                "{backend} seed {seed}: {:?}",
-                verdict.violations()
-            );
+            let scenario = Scenario::builder(&format!("chaos-seed-{seed}"))
+                .backend(backend)
+                .speedup(100.0)
+                .workload_with(|w| w.seed = seed)
+                .constant_load(50, 10)
+                .chaos_seeded(
+                    seed,
+                    ChaosConfig {
+                        horizon: Duration::ZERO, // the run window
+                        ..ChaosConfig::default()
+                    },
+                )
+                .retry(RetryPolicy::standard())
+                .expect_accounting_identity()
+                .expect_no_stall()
+                .build()
+                .expect("chaos cells are statically valid");
+            let (threads_before, children_before) = (live_threads(), live_children());
+            let mut verdict = scenario.run().expect("chaos cell runs");
+            verdict
+                .checks
+                .extend(leak_checks(threads_before, children_before));
+            for name in INVARIANTS {
+                let check = verdict.checks.iter().find(|c| c.name == name);
+                assert!(
+                    check.is_some_and(|c| c.passed),
+                    "{backend} seed {seed}: {name} missing or failed in {:?}",
+                    verdict.checks
+                );
+            }
         }
     }
 }

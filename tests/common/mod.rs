@@ -22,11 +22,11 @@ pub fn serial_guard() -> MutexGuard<'static, ()> {
 
 // # Fabric commit band (referenced by tests/cross_chain.rs)
 //
-// The zipf-0.99 SmallBank workload on `fabric_default()` (100 tx/s x 6 s
-// = 600 txs at 400x speed-up) commits fewer than 600: the EOV pipeline
-// loses hot-account transactions to intra-block MVCC conflicts, and the
-// exact block composition jitters with wall-clock scheduling noise, so
-// the commit count is a band, not a constant.
+// The zipf-0.99 SmallBank workload on the registry's `fabric-sim`
+// (100 tx/s x 6 s = 600 txs at 400x speed-up) commits fewer than 600: the
+// EOV pipeline loses hot-account transactions to intra-block MVCC
+// conflicts, and the exact block composition jitters with wall-clock
+// scheduling noise, so the commit count is a band, not a constant.
 //
 // Derivation of the asserted floor: run the fabric cross-chain test in
 // release mode N>=10 times and read the printed `fabric committed =`

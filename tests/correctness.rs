@@ -11,10 +11,11 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use hammer::chain::types::TxStatus;
-use hammer::core::deploy::{ChainSpec, Deployment};
+use hammer::core::deploy::Deployment;
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::machine::ClientMachine;
-use hammer::fabric::FabricConfig;
+use hammer::fabric::{FabricConfig, FabricSim};
+use hammer::net::{LinkConfig, SimClock, SimNetwork};
 use hammer::workload::{ControlSequence, WorkloadConfig};
 
 #[test]
@@ -22,13 +23,17 @@ fn driver_statistics_match_node_logs() {
     // Same configuration as the full-size correctness_check binary: the
     // audit is about accounting, so give the chain headroom for 600 TPS
     // (validation 1 ms/tx => ~1000 TPS ceiling).
-    let deployment = Deployment::up(
-        ChainSpec::Fabric(FabricConfig {
-            validate_cost: Duration::from_millis(1),
-            inbox_capacity: 50_000,
-            ..FabricConfig::default()
-        }),
-        400.0,
+    let fabric = FabricConfig {
+        validate_cost: Duration::from_millis(1),
+        inbox_capacity: 50_000,
+        ..FabricConfig::default()
+    };
+    let clock = SimClock::with_speedup(400.0);
+    let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+    let deployment = Deployment::from_chain(
+        FabricSim::start(fabric, clock.clone(), net.clone()),
+        clock,
+        net,
     );
     let workload = WorkloadConfig {
         accounts: 5_000,

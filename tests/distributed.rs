@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use hammer::core::deploy::{ChainSpec, Deployment};
+use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::EvalConfig;
 use hammer::core::machine::ClientMachine;
 use hammer::core::run_distributed;
@@ -12,7 +12,9 @@ use hammer::workload::{ControlSequence, WorkloadConfig};
 
 #[test]
 fn two_driver_servers_one_chain() {
-    let deployment = Deployment::up(ChainSpec::neuchain_default(), 400.0);
+    let deployment = BackendRegistry::builtin()
+        .deploy("neuchain-sim", &BackendOptions::default(), 400.0)
+        .expect("builtin backend");
     let workload = WorkloadConfig {
         accounts: 200,
         clients: 2,

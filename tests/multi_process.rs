@@ -16,7 +16,7 @@ use hammer::core::deploy::{
 };
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::retry::RetryPolicy;
-use hammer::core::scenario::Scenario;
+use hammer::core::scenario::{corpus, Scenario};
 use hammer::net::{FaultPlan, LinkConfig, SimClock, SimNetwork};
 use hammer::workload::{ControlSequence, WorkloadConfig};
 
@@ -212,6 +212,45 @@ fn scenario_dsl_drives_multi_process_crash_runs() {
     assert!(verdict.to_json().contains("\"process_faults\""));
 
     // run_on tears down deterministically before returning.
+    assert!(
+        live_children() <= children_before,
+        "node-host process leaked past teardown"
+    );
+}
+
+/// `deploy_multi` mirrors the node's full topology onto the driver-side
+/// network, so a partition's `rest` group covers the same nodes in both
+/// deploy modes — including Ethereum, whose only discovered fault target
+/// (the ingress node that also seals) is the node being isolated.
+#[test]
+fn partition_rest_group_resolves_against_the_full_remote_topology() {
+    let _guard = serial();
+    let children_before = live_children();
+    std::env::set_var("HAMMER_NODE_HOST", env!("CARGO_BIN_EXE_node-host"));
+
+    let authored = corpus::load("partition-then-heal").expect("corpus scenario");
+    // The sweep's Ethereum operating point: ~40 tx/s at 100x.
+    let native_rate =
+        authored.control().total() as f64 / authored.control().duration().as_secs_f64();
+    let scenario = authored
+        .retarget("ethereum-sim", 100.0, 40.0 / native_rate)
+        .expect("retarget validates")
+        .to_builder()
+        .deploy_mode(DeployMode::MultiProcess)
+        .build()
+        .expect("deploy-mode change validates");
+
+    let verdict = scenario.run().expect("partition resolves over TCP");
+    assert!(
+        verdict.passed(),
+        "violations: {:?}",
+        verdict
+            .violations()
+            .iter()
+            .map(|c| format!("{}: {}", c.name, c.detail))
+            .collect::<Vec<_>>()
+    );
+    assert!(verdict.process_faults.is_some(), "ran multi-process");
     assert!(
         live_children() <= children_before,
         "node-host process leaked past teardown"

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use hammer::core::deploy::{ChainSpec, Deployment};
+use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, EvalReport, Evaluation};
 use hammer::core::machine::ClientMachine;
 use hammer::core::retry::RetryPolicy;
@@ -31,7 +31,14 @@ fn run_neuchain(
     }
     // Deploy first: install_faults validates the plan against the live
     // topology, so the node endpoints must already be registered.
-    let deployment = Deployment::up_on(ChainSpec::neuchain_default(), clock, net.clone());
+    let deployment = BackendRegistry::builtin()
+        .deploy_on(
+            "neuchain-sim",
+            &BackendOptions::default(),
+            clock,
+            net.clone(),
+        )
+        .expect("builtin backend");
     if let Some(plan) = plan {
         net.install_faults(plan);
     }

@@ -80,7 +80,7 @@ fn compilation_is_deterministic() {
 #[test]
 fn corpus_round_trips_through_json() {
     let names = corpus::names();
-    assert_eq!(names.len(), 6, "the shipped corpus has six scenarios");
+    assert_eq!(names.len(), 8, "the shipped corpus has eight scenarios");
     for name in names {
         let spec = corpus::spec(name).expect("listed scenarios have specs");
         let first = Scenario::from_json(spec).expect("corpus spec must parse");
